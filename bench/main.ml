@@ -6,9 +6,9 @@
      dune exec bench/main.exe -- quick   -- shortened windows/sweeps
      dune exec bench/main.exe -- fig4    -- one experiment
      (also: fig5 fig6 fig7 table1 fig8 ablations micro_kv micro;
-    `coord', `pipeline', `reconfig' and `longhaul' are opt-in only and
-    write BENCH_coord.json / BENCH_pipeline.json / BENCH_reconfig.json
-    / BENCH_longhaul.json)
+    `coord', `pipeline', `reads', `reconfig', `elastic' and `longhaul'
+    are opt-in only and write BENCH_<name>.json into the current
+    directory, or into DIR with [--out DIR])
 
    Absolute numbers come from the calibrated simulation (DESIGN.md);
    EXPERIMENTS.md records the paper-vs-measured comparison. *)
@@ -17,6 +17,20 @@ open Heron_stats
 open Heron_harness
 
 let say fmt = Printf.printf fmt
+
+(* Directory the opt-in benches write their BENCH_*.json into
+   ([--out DIR], default the current directory). Smoke runs point it
+   elsewhere so they never overwrite the committed full-run files. *)
+let out_dir = ref Filename.current_dir_name
+
+let write_bench name json =
+  let path = Filename.concat !out_dir name in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      Heron_obs.Json.to_channel oc json;
+      output_char oc '\n')
 
 let timed name f =
   let t0 = Unix.gettimeofday () in
@@ -232,12 +246,7 @@ let run_coord ~quick ~breakdown ~trace_file =
             ("wall_s", Heron_obs.Json.Float (Unix.gettimeofday () -. t0));
           ]
       in
-      let oc = open_out "BENCH_coord.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Heron_obs.Json.to_channel oc json;
-          output_char oc '\n');
+      write_bench "BENCH_coord.json" json;
       say
         "coord: multi p50 %.1f us / p99 %.1f us batched (%.1f / %.1f unbatched), \
          single-partition %.0f tps (untraced %.0f, delta %+.2f%%), doorbells %d \
@@ -380,12 +389,7 @@ let run_pipeline ~quick =
             ("wall_s", Heron_obs.Json.Float (Unix.gettimeofday () -. t0));
           ]
       in
-      let oc = open_out "BENCH_pipeline.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Heron_obs.Json.to_channel oc json;
-          output_char oc '\n');
+      write_bench "BENCH_pipeline.json" json;
       say
         "pipeline: off %.0f tps (64c %.0f), best %.0f tps at exec=%d batch=%d \
          (%.2fx), multi p50 %.1f us off -> %.1f us on -> BENCH_pipeline.json\n"
@@ -537,12 +541,7 @@ let run_reads ~quick ~breakdown =
             ("wall_s", Heron_obs.Json.Float (Unix.gettimeofday () -. t0));
           ]
       in
-      let oc = open_out "BENCH_reads.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Heron_obs.Json.to_channel oc json;
-          output_char oc '\n');
+      write_bench "BENCH_reads.json" json;
       say
         "reads: YCSB-C %.0f tps ordered -> %.0f tps local (%.1fx), write p50 \
          %.1f -> %.1f us, scan p50 %.1f -> %.1f us -> BENCH_reads.json\n"
@@ -669,12 +668,7 @@ let run_reconfig ~quick =
             ("wall_s", Heron_obs.Json.Float (Unix.gettimeofday () -. t0));
           ]
       in
-      let oc = open_out "BENCH_reconfig.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Heron_obs.Json.to_channel oc json;
-          output_char oc '\n');
+      write_bench "BENCH_reconfig.json" json;
       say
         "reconfig: post-shift %.0f tps static vs %.0f tps rebalanced (pre-shift \
          %.0f vs %.0f), %d migrations / %d objects, epoch %d -> \
@@ -818,12 +812,7 @@ let run_elastic ~quick =
             ("wall_s", Heron_obs.Json.Float (Unix.gettimeofday () -. t0));
           ]
       in
-      let oc = open_out "BENCH_elastic.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Heron_obs.Json.to_channel oc json;
-          output_char oc '\n');
+      write_bench "BENCH_elastic.json" json;
       say
         "elastic: post-ramp %.0f tps elastic vs %.0f tps static (pre-ramp %.0f \
          vs %.0f), %d splits, %d shards, epoch %d -> BENCH_elastic.json\n"
@@ -935,12 +924,7 @@ let run_longhaul ~quick =
             ("wall_s", Heron_obs.Json.Float (Unix.gettimeofday () -. t0));
           ]
       in
-      let oc = open_out "BENCH_longhaul.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Heron_obs.Json.to_channel oc json;
-          output_char oc '\n');
+      write_bench "BENCH_longhaul.json" json;
       say
         "longhaul: %.0f tps durable vs %.0f baseline; max log %d vs %d \
          (compaction x%.1f, %d checkpoints); late rejoin %d B durable vs %d B \
@@ -1037,14 +1021,15 @@ let run_micro () =
       List.iter benchmark (micro_tests ());
       print_newline ())
 
-(* Extract [--metrics FILE] / [--trace FILE] / [--breakdown] before
-   experiment selection: the remaining args drive the [wants] logic
-   below. [--trace] and [--breakdown] apply to the coord bench. *)
+(* Extract [--metrics FILE] / [--trace FILE] / [--out DIR] /
+   [--breakdown] before experiment selection: the remaining args drive
+   the [wants] logic below. [--trace] and [--breakdown] apply to the
+   coord bench, [--out] to every BENCH_*.json writer. *)
 let split_opt flag args =
   let rec go acc = function
     | f :: file :: rest when f = flag -> (Some file, List.rev_append acc rest)
     | [ f ] when f = flag ->
-        Printf.eprintf "bench: %s requires a FILE argument\n" flag;
+        Printf.eprintf "bench: %s requires an argument\n" flag;
         exit 2
     | a :: rest -> go (a :: acc) rest
     | [] -> (None, List.rev acc)
@@ -1067,6 +1052,15 @@ let dump_metrics file =
 let () =
   let metrics_file, args = split_opt "--metrics" (List.tl (Array.to_list Sys.argv)) in
   let trace_file, args = split_opt "--trace" args in
+  let out, args = split_opt "--out" args in
+  Option.iter
+    (fun dir ->
+      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+        Printf.eprintf "bench: --out %s is not a directory\n" dir;
+        exit 2
+      end;
+      out_dir := dir)
+    out;
   let breakdown, args = split_flag "--breakdown" args in
   let quick = List.mem "quick" args in
   let wants name = args = [] || args = [ "quick" ] || List.mem name args in

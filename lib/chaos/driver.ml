@@ -144,6 +144,18 @@ let inject sys ev =
 let divergence sys =
   let problem = ref None in
   let note fmt = Printf.ksprintf (fun s -> if !problem = None then problem := Some s) fmt in
+  let pp_tmp = Format.asprintf "%a" Heron_multicast.Tstamp.pp in
+  (* Register values are 8-byte counters; anything else (an empty cell,
+     an app's own encoding) prints as its length. *)
+  let pp_value v =
+    if Bytes.length v = 8 then Int64.to_string (Bytes.get_int64_le v 0)
+    else Printf.sprintf "<%d bytes>" (Bytes.length v)
+  in
+  let pp_state r (v, t) =
+    Printf.sprintf "%s@%s, last_req %s, last_applied %s" (pp_value v) (pp_tmp t)
+      (pp_tmp (Replica.last_req r))
+      (pp_tmp (Replica.last_applied r))
+  in
   Array.iteri
     (fun p row ->
       let live =
@@ -156,21 +168,14 @@ let divergence sys =
             (fun r ->
               List.iter
                 (fun oid ->
-                  let va, ta = Versioned_store.get (Replica.store first) oid in
-                  let vb, tb = Versioned_store.get (Replica.store r) oid in
-                  if not (Bytes.equal va vb) then
+                  let a = Versioned_store.get (Replica.store first) oid in
+                  let b = Versioned_store.get (Replica.store r) oid in
+                  if not (Bytes.equal (fst a) (fst b)) then
                     note
                       "partition %d: replica %d disagrees with replica %d on oid %d \
-                       (%Ld@%s applied %s vs %Ld@%s applied %s)"
+                       (%s vs %s)"
                       p (Replica.idx r) (Replica.idx first) (Oid.to_int oid)
-                      (Bytes.get_int64_le vb 0)
-                      (Format.asprintf "%a" Heron_multicast.Tstamp.pp tb)
-                      (Format.asprintf "%a" Heron_multicast.Tstamp.pp
-                         (Replica.last_req r))
-                      (Bytes.get_int64_le va 0)
-                      (Format.asprintf "%a" Heron_multicast.Tstamp.pp ta)
-                      (Format.asprintf "%a" Heron_multicast.Tstamp.pp
-                         (Replica.last_req first)))
+                      (pp_state r b) (pp_state first a))
                 (Versioned_store.registered_oids (Replica.store first)))
             rest)
     (System.replicas sys);

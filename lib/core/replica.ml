@@ -77,6 +77,7 @@ type obs = {
   ob_mcast_log_len : Heron_obs.Metrics.histogram;  (* durability.mcast_log_len *)
   ob_rejoin_state_bytes : Heron_obs.Metrics.counter;  (* durability.rejoin_bytes *)
   ob_bootstraps : Heron_obs.Metrics.counter;  (* durability.checkpoint_bootstraps *)
+  ob_ckpt_objects : Heron_obs.Metrics.histogram;  (* durability.ckpt_objects *)
   ob_invalidation : Heron_obs.Metrics.histogram;  (* reads.invalidation_ns *)
 }
 
@@ -99,6 +100,7 @@ let make_obs reg =
     ob_mcast_log_len = Metrics.histogram reg "durability.mcast_log_len";
     ob_rejoin_state_bytes = Metrics.counter reg "durability.rejoin_bytes";
     ob_bootstraps = Metrics.counter reg "durability.checkpoint_bootstraps";
+    ob_ckpt_objects = Metrics.histogram reg "durability.ckpt_objects";
     ob_invalidation = Metrics.histogram reg "reads.invalidation_ns";
   }
 
@@ -132,20 +134,6 @@ let make_stats () =
 (* One outbound coordination fan-out, queued to the coordination-writer
    fiber when Config.pipeline.pipe_coord_writer is on. *)
 type coord_job = { cj_tmp : Tstamp.t; cj_dst : int list; cj_stage : int }
-
-(* A checkpoint (DESIGN.md §13): the replica's store as of one applied
-   frontier, snapshotted in a single event-loop turn through the same
-   encode path a state-transfer donor uses. Registered cells ship raw
-   (both dual versions), local-class values at their newest version at
-   or below the frontier. Serialization of the local values is paid at
-   checkpoint time, off any later rejoin's critical path. *)
-type checkpoint = {
-  ck_frontier : Tstamp.t;  (* every update <= this is captured *)
-  ck_reg : (Oid.t * bytes) list;
-  ck_loc : (Oid.t * (bytes * Tstamp.t)) list;
-  ck_loc_bytes : int;  (* serialized footprint of ck_loc *)
-  ck_bytes : int;  (* total shippable footprint *)
-}
 
 type ('req, 'resp) t = {
   r_cfg : Config.t;
@@ -195,7 +183,7 @@ type ('req, 'resp) t = {
   mutable r_coord_mb : coord_job Mailbox.t option;
       (* when set, [announce] hands fan-outs to the coordination-writer
          fiber instead of posting inline (pipeline mode) *)
-  mutable r_ckpt : checkpoint option;  (* latest checkpoint (durability) *)
+  mutable r_ckpt : Checkpoint.t option;  (* latest checkpoint (durability) *)
   mutable r_compact : (upto:Tstamp.t -> int) option;
       (* multicast-log compaction hook, installed by System: compacts
          the partition's delivery log up to the truncation frontier and
@@ -277,7 +265,7 @@ let clear_stats r =
 let update_log r = r.r_log
 let lease_table r = r.r_lease
 let set_compactor r f = r.r_compact <- Some f
-let checkpoint_frontier r = Option.map (fun ck -> ck.ck_frontier) r.r_ckpt
+let checkpoint_frontier r = Option.map Checkpoint.frontier r.r_ckpt
 let inject_exec_delay r d = r.r_exec_delay <- d
 let set_tracer r tr = r.r_tracer <- Some tr
 let placement_view r = r.r_view
@@ -817,8 +805,8 @@ let do_transfer r ~lagger_idx ~failed_tmp =
     if full then
       match r.r_ckpt with
       | Some ck
-        when Tstamp.(Update_log.truncation r.r_log <= ck.ck_frontier)
-             && Tstamp.(ck.ck_frontier <= upto) ->
+        when Tstamp.(Update_log.truncation r.r_log <= Checkpoint.frontier ck)
+             && Tstamp.(Checkpoint.frontier ck <= upto) ->
           Some ck
       | Some _ | None -> None
     else None
@@ -848,15 +836,20 @@ let do_transfer r ~lagger_idx ~failed_tmp =
   let reg_cells, loc_values, ser_bytes =
     match bootstrap with
     | Some ck ->
-        let delta = Update_log.oids_after r.r_log ~after:ck.ck_frontier ~upto in
+        let delta =
+          Update_log.oids_after r.r_log ~after:(Checkpoint.frontier ck) ~upto
+        in
         let in_delta = Hashtbl.create (max 16 (List.length delta)) in
         List.iter (fun oid -> Hashtbl.replace in_delta oid ()) delta;
         let dreg, dloc = partition_by_klass delta in
         let dloc_values = snapshot_loc dloc in
-        (* Delta cells supersede the checkpoint's for the same object. *)
+        (* Delta cells supersede the checkpoint's for the same object.
+           The checkpoint's come in ascending oid order, so a restarted
+           lagger registers migrated-in cells at the same region offsets
+           whichever round built the image. *)
         let keep (oid, _) = not (Hashtbl.mem in_delta oid) in
-        ( List.filter keep ck.ck_reg @ encode_reg dreg,
-          List.filter keep ck.ck_loc @ dloc_values,
+        ( List.filter keep (Checkpoint.reg_cells ck) @ encode_reg dreg,
+          List.filter keep (Checkpoint.loc_values ck) @ dloc_values,
           loc_footprint dloc_values )
     | None ->
         let oids =
@@ -1027,42 +1020,6 @@ let publish_frontier r tmp =
       end
     done
 
-(* Snapshot the whole store as of [r_last_applied], in a single
-   event-loop turn (no suspension points) — the same consistency
-   argument as the donor snapshot in [do_transfer]: the frontier and
-   the copied values describe one instant, with at most the single
-   in-flight write per object beyond it, which dual versioning
-   absorbs. Crash-mid-checkpoint is safe by construction: either the
-   assignment of [r_ckpt] happened or the old checkpoint stands. *)
-let take_checkpoint r =
-  let frontier = r.r_last_applied in
-  let ck_reg =
-    List.map
-      (fun oid -> (oid, Versioned_store.encode_cell_of r.r_store oid))
-      (Versioned_store.registered_oids r.r_store)
-  in
-  let ck_loc =
-    List.filter_map
-      (fun oid ->
-        match Versioned_store.get_at_most r.r_store oid ~bound:frontier with
-        | Some (v, tmp) -> Some (oid, (v, tmp))
-        | None -> None)
-      (Versioned_store.local_oids r.r_store)
-  in
-  let reg_bytes =
-    List.fold_left (fun acc (_, cell) -> acc + Bytes.length cell) 0 ck_reg
-  in
-  let loc_bytes =
-    List.fold_left (fun acc (_, (v, _)) -> acc + Bytes.length v + 24) 0 ck_loc
-  in
-  {
-    ck_frontier = frontier;
-    ck_reg;
-    ck_loc;
-    ck_loc_bytes = loc_bytes;
-    ck_bytes = reg_bytes + loc_bytes;
-  }
-
 (* The slowest live replica's published checkpoint frontier (own
    partition), our own included. Dead peers are skipped: their slots
    are stale, and their next incarnation bootstraps from a live donor
@@ -1103,16 +1060,28 @@ let checkpoint_round r =
              ~start stop)
     | Some _ | None -> ()
   in
-  let ck = take_checkpoint r in
+  (* Cut the store at [r_last_applied] in a single event-loop turn (no
+     suspension points) — the same consistency argument as the donor
+     snapshot in [do_transfer]: the frontier and the encoded values
+     describe one instant, with at most the single in-flight write per
+     object beyond it, which dual versioning absorbs. Only the objects
+     written since the previous round (plus local ones that held a
+     version past its cut) are re-encoded. Images are immutable, so a
+     crash mid-round is safe by construction: either the assignment of
+     [r_ckpt] happened or the old image stands. *)
+  let ck, encoded =
+    Checkpoint.build ?prev:r.r_ckpt r.r_store ~frontier:r.r_last_applied
+  in
   r.r_ckpt <- Some ck;
   Heron_obs.Metrics.incr r.r_obs.ob_checkpoints;
+  Heron_obs.Metrics.observe r.r_obs.ob_ckpt_objects encoded;
   (* Serialization of the local-class values is paid now, not when a
      rejoiner later needs them. *)
-  charge_ser r ck.ck_loc_bytes;
+  charge_ser r (Checkpoint.loc_bytes ck);
   let t1 = Engine.now r.r_eng in
   ckpt_span ~stage:"ckpt.snapshot" ~start:t0 t1;
-  publish_frontier r ck.ck_frontier;
-  let upto = min_live_frontier r ~own:ck.ck_frontier in
+  publish_frontier r (Checkpoint.frontier ck);
+  let upto = min_live_frontier r ~own:(Checkpoint.frontier ck) in
   let t2 = Engine.now r.r_eng in
   if Tstamp.(Tstamp.zero < upto) then begin
     let dropped = Update_log.truncate r.r_log ~upto in
@@ -2121,5 +2090,9 @@ let start r =
       end
       else parallel_loop r);
   Fabric.spawn_on r.r_node (fun () -> statesync_watcher r);
-  if r.r_cfg.Config.durability.Config.dur_enabled then
+  if r.r_cfg.Config.durability.Config.dur_enabled then begin
+    (* The first round builds its image from a full scan; from then on
+       each round re-encodes only what the change record names. *)
+    Versioned_store.record_changes r.r_store;
     Fabric.spawn_on r.r_node (fun () -> checkpoint_loop r)
+  end

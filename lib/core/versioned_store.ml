@@ -17,6 +17,9 @@ type t = {
   objects : (Oid.t, entry) Hashtbl.t;
   mutable next_off : int;
   mutable miss_counter : Heron_obs.Metrics.counter option;
+  mutable changes : (Oid.t, unit) Hashtbl.t option;
+      (* oids touched by a mutator since the last [take_changes]; [None]
+         until [record_changes] *)
 }
 
 let create node ~region_size =
@@ -26,6 +29,7 @@ let create node ~region_size =
     objects = Hashtbl.create 1024;
     next_off = 0;
     miss_counter = None;
+    changes = None;
   }
 
 let attach_metrics t reg =
@@ -35,6 +39,24 @@ let count_miss t =
   match t.miss_counter with
   | Some c -> Heron_obs.Metrics.incr c
   | None -> ()
+
+(* {1 Change record} *)
+
+let record_changes t =
+  match t.changes with
+  | None -> t.changes <- Some (Hashtbl.create 256)
+  | Some _ -> ()
+
+let mark t oid =
+  match t.changes with Some h -> Hashtbl.replace h oid () | None -> ()
+
+let take_changes t =
+  match t.changes with
+  | None -> []
+  | Some h ->
+      let oids = Hashtbl.fold (fun oid () acc -> oid :: acc) h [] in
+      Hashtbl.clear h;
+      oids
 
 let node t = t.st_node
 let mem t oid = Hashtbl.mem t.objects oid
@@ -69,7 +91,7 @@ let slot_write t ro slot value ~tmp =
 let register t oid ~klass ~cap ~init =
   if Hashtbl.mem t.objects oid then
     invalid_arg "Versioned_store.register: oid already registered";
-  match klass with
+  (match klass with
   | Local ->
       Hashtbl.replace t.objects oid
         (Loc
@@ -87,11 +109,14 @@ let register t oid ~klass ~cap ~init =
       t.next_off <- t.next_off + len;
       Hashtbl.replace t.objects oid (Reg ro);
       slot_write t ro `A init ~tmp:Tstamp.zero;
-      slot_write t ro `B init ~tmp:Tstamp.zero
+      slot_write t ro `B init ~tmp:Tstamp.zero);
+  (* Only once registered: a rejected registration leaves no trace. *)
+  mark t oid
 
 let insert_local t oid value ~tmp =
   if Hashtbl.mem t.objects oid then
     invalid_arg "Versioned_store.insert_local: oid already registered";
+  mark t oid;
   Hashtbl.replace t.objects oid
     (Loc
        {
@@ -151,6 +176,7 @@ let set t oid value ~tmp =
         else if Tstamp.(ta <= tb) then `A
         else `B
       in
+      mark t oid;
       slot_write t ro slot value ~tmp
   | Some (Loc l) ->
       let v =
@@ -159,6 +185,7 @@ let set t oid value ~tmp =
         else if Tstamp.(l.la.lv_tmp <= l.lb.lv_tmp) then l.la
         else l.lb
       in
+      mark t oid;
       v.lv_val <- Bytes.copy value;
       v.lv_tmp <- tmp
 
@@ -217,6 +244,7 @@ let write_raw_cell t oid raw =
   let ro = find_reg t oid in
   if Bytes.length raw <> cell_len_of_cap ro.ro_cap then
     invalid_arg "Versioned_store.write_raw_cell: size mismatch";
+  mark t oid;
   Memory.write_bytes t.region ~off:ro.ro_off raw
 
 let value_size t oid = Bytes.length (fst (get t oid))

@@ -115,3 +115,20 @@ val value_size : t -> Oid.t -> int
 
 val registered_oids : t -> Oid.t list
 val local_oids : t -> Oid.t list
+(** Both sorted by oid. *)
+
+(** {1 Change record}
+
+    Incremental checkpoints ({!Checkpoint}) re-encode only the objects
+    written since the previous round. Once recording is on, every
+    mutator — {!register}, {!insert_local}, {!set} (dynamic insertion
+    included) and {!write_raw_cell} — notes the oid it touched. *)
+
+val record_changes : t -> unit
+(** Start recording (idempotent). Off by default, so a store that is
+    never checkpointed pays nothing. *)
+
+val take_changes : t -> Oid.t list
+(** The distinct oids touched since recording started or since the
+    previous call, in unspecified order, and forget them. Empty while
+    recording is off. *)

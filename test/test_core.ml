@@ -1575,6 +1575,250 @@ let test_durability_truncation_races_migration () =
   check_bool "truncation kept pace" true
     (counter_of reg "durability.truncated_entries" > 0)
 
+(* {2 Incremental checkpoints}
+
+   A round re-encodes only what the store's change record names (plus
+   local objects holding a version past the previous cut). The oracle
+   is the from-scratch snapshot the incremental image must equal:
+   every registered cell raw, every local object at its newest version
+   at or below the cut, both in ascending oid order. *)
+
+type ck_op =
+  | Ck_register of int * int * int  (* oid, cap, init *)
+  | Ck_register_local of int * int  (* oid, init *)
+  | Ck_set of int * int * int  (* oid, value, clock *)
+  | Ck_insert_local of int * int * int  (* oid, value, clock *)
+  | Ck_raw of int * (int * int) * (int * int)  (* oid, (clock, value) per slot *)
+  | Ck_cut of int  (* advance the cut by this many clock ticks, then build *)
+
+let pp_ck_op = function
+  | Ck_register (o, c, v) -> Printf.sprintf "register %d cap %d = %d" o c v
+  | Ck_register_local (o, v) -> Printf.sprintf "register_local %d = %d" o v
+  | Ck_set (o, v, c) -> Printf.sprintf "set %d = %d @%d" o v c
+  | Ck_insert_local (o, v, c) -> Printf.sprintf "insert_local %d = %d @%d" o v c
+  | Ck_raw (o, (ca, va), (cb, vb)) ->
+      Printf.sprintf "write_raw_cell %d = %d@%d | %d@%d" o va ca vb cb
+  | Ck_cut d -> Printf.sprintf "cut +%d" d
+
+let ck_op_gen =
+  let open QCheck.Gen in
+  let oid = int_bound 15 and v = int_bound 999 and clock = int_range 1 40 in
+  frequency
+    [
+      (2, map3 (fun o c v -> Ck_register (o, c, v)) oid (int_bound 4) v);
+      (1, map2 (fun o v -> Ck_register_local (o, v)) oid v);
+      (6, map3 (fun o v c -> Ck_set (o, v, c)) oid v clock);
+      (1, map3 (fun o v c -> Ck_insert_local (o, v, c)) oid v clock);
+      (2, map3 (fun o a b -> Ck_raw (o, a, b)) oid (pair clock v) (pair clock v));
+      (3, map (fun d -> Ck_cut d) (int_bound 6));
+    ]
+
+(* Values are decimal strings cut to the cell's capacity. *)
+let ck_value ?cap v =
+  let s = string_of_int v in
+  Bytes.of_string
+    (match cap with Some c when String.length s > c -> String.sub s 0 c | _ -> s)
+
+let ck_cap st oid = (Versioned_store.cell_len st oid - 32) / 2
+
+let ck_is_registered st oid =
+  Versioned_store.mem st oid
+  && Versioned_store.klass_of st oid = Versioned_store.Registered
+
+let ck_apply st = function
+  | Ck_register (o, cap, v) ->
+      if not (Versioned_store.mem st o) then
+        Versioned_store.register st o ~klass:Versioned_store.Registered ~cap
+          ~init:(ck_value ~cap v)
+  | Ck_register_local (o, v) ->
+      if not (Versioned_store.mem st o) then
+        Versioned_store.register st o ~klass:Versioned_store.Local ~cap:0
+          ~init:(ck_value v)
+  | Ck_set (o, v, c) ->
+      let cap = if ck_is_registered st o then Some (ck_cap st o) else None in
+      Versioned_store.set st o (ck_value ?cap v) ~tmp:(tmp c)
+  | Ck_insert_local (o, v, c) ->
+      if not (Versioned_store.mem st o) then
+        Versioned_store.insert_local st o (ck_value v) ~tmp:(tmp c)
+  | Ck_raw (o, (ca, va), (cb, vb)) ->
+      if ck_is_registered st o then begin
+        let cap = ck_cap st o in
+        let cell = Bytes.make (32 + (2 * cap)) '\000' in
+        let put off c v =
+          let v = ck_value ~cap v in
+          Bytes.set_int64_le cell off (Tstamp.to_int64 (tmp c));
+          Bytes.set_int64_le cell (off + 8) (Int64.of_int (Bytes.length v));
+          Bytes.blit v 0 cell (off + 16) (Bytes.length v)
+        in
+        put 0 ca va;
+        put (16 + cap) cb vb;
+        Versioned_store.write_raw_cell st o cell
+      end
+  | Ck_cut _ -> ()
+
+let ck_oracle st ~cut =
+  let reg =
+    List.map
+      (fun oid -> (oid, Versioned_store.encode_cell_of st oid))
+      (Versioned_store.registered_oids st)
+  in
+  let loc =
+    List.filter_map
+      (fun oid ->
+        Option.map (fun v -> (oid, v)) (Versioned_store.get_at_most st oid ~bound:cut))
+      (Versioned_store.local_oids st)
+  in
+  let loc_bytes = List.fold_left (fun a (_, (v, _)) -> a + Bytes.length v + 24) 0 loc in
+  let reg_bytes = List.fold_left (fun a (_, cell) -> a + Bytes.length cell) 0 reg in
+  (reg, loc, loc_bytes, reg_bytes + loc_bytes)
+
+let ck_image ck =
+  ( Checkpoint.reg_cells ck,
+    Checkpoint.loc_values ck,
+    Checkpoint.loc_bytes ck,
+    Checkpoint.bytes ck )
+
+let checkpoint_equivalence_prop =
+  (* [pre] runs before recording starts, like the catalog load before
+     [Replica.start]; the first round must pick it up by its full scan. *)
+  QCheck.Test.make ~name:"incremental image = from-scratch snapshot" ~count:300
+    (QCheck.make
+       ~print:(fun (pre, ops) ->
+         String.concat "; " (List.map pp_ck_op pre)
+         ^ " || "
+         ^ String.concat "; " (List.map pp_ck_op ops))
+       QCheck.Gen.(
+         pair (list_size (int_bound 10) ck_op_gen) (list_size (int_range 1 60) ck_op_gen)))
+    (fun (pre, ops) ->
+      let _, st = make_store () in
+      List.iter (ck_apply st) pre;
+      Versioned_store.record_changes st;
+      let cut = ref 1 and prev = ref None in
+      List.for_all
+        (fun op ->
+          ck_apply st op;
+          match op with
+          | Ck_cut d ->
+              cut := !cut + d;
+              let ck, _ = Checkpoint.build ?prev:!prev st ~frontier:(tmp !cut) in
+              prev := Some ck;
+              Tstamp.equal (Checkpoint.frontier ck) (tmp !cut)
+              && ck_image ck = ck_oracle st ~cut:(tmp !cut)
+          | _ -> true)
+        (ops @ [ Ck_cut 0 ]))
+
+let test_checkpoint_rejected_register_unmarked () =
+  (* A registration the store rejects must not enter the change record:
+     the next round would look up an oid the store does not hold. *)
+  let _, st = make_store () in
+  Versioned_store.record_changes st;
+  (try
+     Versioned_store.register st 1 ~klass:Versioned_store.Registered ~cap:2
+       ~init:(b "xyz")
+   with Invalid_argument _ -> ());
+  check_bool "nothing recorded" true (Versioned_store.take_changes st = []);
+  let ck, n = Checkpoint.build st ~frontier:(tmp 1) in
+  check_int "empty store, empty image" 0 n;
+  check_int "no bytes" 0 (Checkpoint.bytes ck)
+
+let test_checkpoint_cost_is_changes () =
+  (* The first round scans the store; later ones re-encode the objects
+     written since, plus local objects holding a version past the cut
+     until the cut passes it. *)
+  let _, st = make_store () in
+  for oid = 0 to 9 do
+    Versioned_store.register st oid ~klass:Versioned_store.Registered ~cap:8
+      ~init:(b "i")
+  done;
+  Versioned_store.register st 20 ~klass:Versioned_store.Local ~cap:0 ~init:(b "l");
+  Versioned_store.record_changes st;
+  let ck, n = Checkpoint.build st ~frontier:(tmp 5) in
+  check_int "first round scans every object" 11 n;
+  let ck, n = Checkpoint.build ~prev:ck st ~frontier:(tmp 5) in
+  check_int "an idle round encodes nothing" 0 n;
+  Versioned_store.set st 3 (b "w") ~tmp:(tmp 4);
+  Versioned_store.set st 3 (b "x") ~tmp:(tmp 5);
+  Versioned_store.set st 20 (b "m") ~tmp:(tmp 8);
+  let ck, n = Checkpoint.build ~prev:ck st ~frontier:(tmp 6) in
+  check_int "two written objects" 2 n;
+  check_bool "local write past the cut stays out" true
+    (List.assoc 20 (Checkpoint.loc_values ck) = (b "l", Tstamp.zero));
+  let ck, n = Checkpoint.build ~prev:ck st ~frontier:(tmp 8) in
+  check_int "the pending local object is re-checked unwritten" 1 n;
+  check_bool "and enters once the cut reaches it" true
+    (List.assoc 20 (Checkpoint.loc_values ck) = (b "m", tmp 8));
+  let _, n = Checkpoint.build ~prev:ck st ~frontier:(tmp 9) in
+  check_int "then drops out of the re-check set" 0 n
+
+let test_durability_bootstrap_after_marks () =
+  (* The donor's image must follow every mutator, not just execution:
+     partition 1's replica 0 first lags and adopts state transfers
+     (write_raw_cell), then executes a migration into its partition
+     (register + write_raw_cell of a key nobody writes again). A
+     follower crashed afterwards rejoins once the logs are truncated
+     past both, so it is served from replica 0's checkpoint and must
+     end up with byte-identical cells. *)
+  let reg = Heron_obs.Metrics.create () in
+  let w =
+    make_kv ~seed:37 ~keys:4 ~partitions:2 ~init:5L
+      ~tweak:(fun c ->
+        dur_tweak reg
+          {
+            c with
+            Config.wait_phase2 = Config.Majority;
+            wait_phase4 = Config.Majority;
+            reconfig = { Config.enabled = true };
+          })
+      ()
+  in
+  let donor = System.replica w.sys ~part:1 ~idx:0 in
+  let moved = Kv_app.oid_of_key 2 in
+  let completed = ref 0 and done_ = ref false in
+  on_client w "driver" (fun node ->
+      let ops ?(keys = [ 0; 1 ]) n =
+        for _ = 1 to n do
+          ignore (System.submit w.sys ~from:node (Kv_app.Incr_all keys));
+          incr completed
+        done
+      in
+      Replica.inject_exec_delay donor (Time_ns.us 400);
+      (* Key 3 is written only here: the donor's last copy of it comes
+         in by an adopted transfer, which only the write_raw_cell mark
+         tells the next checkpoint round about. *)
+      ops ~keys:[ 0; 1; 3 ] 30;
+      ops 10;
+      Replica.inject_exec_delay donor 0;
+      Engine.sleep (Time_ns.ms 3);
+      (match Heron_reconfig.Migration.migrate w.sys ~from:node ~oids:[ moved ] ~dst:1 with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "migration failed: %s" e);
+      ops 10;
+      Fabric.crash (Replica.node (System.replica w.sys ~part:1 ~idx:2));
+      ops 10;
+      Engine.sleep (Time_ns.ms 6);
+      System.restart_replica w.sys ~part:1 ~idx:2;
+      Engine.sleep (Time_ns.ms 5);
+      ops 10;
+      done_ := true);
+  Engine.run_until w.eng (Time_ns.s 5);
+  check_bool "driver finished" true !done_;
+  check_int "all ops completed" 70 !completed;
+  check_bool "donor adopted a state transfer" true
+    ((Replica.stats donor).Replica.st_laggers > 0);
+  check_bool "rejoin bootstrapped from a checkpoint" true
+    (counter_of reg "durability.checkpoint_bootstraps" > 0);
+  let ds = Replica.store donor in
+  let fs = Replica.store (System.replica w.sys ~part:1 ~idx:2) in
+  check_bool "migrated key registered at the follower" true
+    (Versioned_store.mem fs moved);
+  let cells st =
+    List.map
+      (fun oid -> (oid, Bytes.to_string (Versioned_store.encode_cell_of st oid)))
+      (Versioned_store.registered_oids st)
+  in
+  check_bool "follower cells byte-identical to the donor's" true (cells ds = cells fs);
+  assert_replicas_converged w
+
 (* {1 Fast reads: lease-based local linearizable reads (DESIGN.md §14)} *)
 
 let fr_tweak ?(write_wait = true) reg c =
@@ -1789,6 +2033,12 @@ let suite =
         tc "truncated-donor rejoin bootstraps from checkpoint"
           test_durability_truncated_donor_rejoin;
         tc "truncation races migration" test_durability_truncation_races_migration;
+        qc checkpoint_equivalence_prop;
+        tc "checkpoint cost follows changes" test_checkpoint_cost_is_changes;
+        tc "rejected registration is not recorded"
+          test_checkpoint_rejected_register_unmarked;
+        tc "bootstrap after transfer and migration marks"
+          test_durability_bootstrap_after_marks;
       ] );
     ( "core.pipeline",
       [
