@@ -1039,6 +1039,14 @@ let split_opt flag args =
 let split_flag flag args =
   (List.mem flag args, List.filter (fun a -> a <> flag) args)
 
+(* Every name the selection below understands ([quick] is a modifier). *)
+let experiments =
+  [
+    "quick"; "fig4"; "fig5"; "fig6"; "fig7"; "table1"; "fig8"; "ablations";
+    "micro_kv"; "coord"; "pipeline"; "reads"; "reconfig"; "elastic"; "longhaul";
+    "micro";
+  ]
+
 let dump_metrics file =
   let snap = Heron_obs.Metrics.(snapshot default) in
   let oc = open_out file in
@@ -1062,6 +1070,13 @@ let () =
       out_dir := dir)
     out;
   let breakdown, args = split_flag "--breakdown" args in
+  (match List.filter (fun a -> not (List.mem a experiments)) args with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown experiment %s; valid names: %s\n"
+        (String.concat ", " unknown)
+        (String.concat " " experiments);
+      exit 2);
   let quick = List.mem "quick" args in
   let wants name = args = [] || args = [ "quick" ] || List.mem name args in
   let t0 = Unix.gettimeofday () in

@@ -164,18 +164,35 @@ let divergence sys =
       match live with
       | [] -> note "partition %d has no live replicas" p
       | first :: rest ->
+          (* An object one replica holds and the other lacks is a
+             divergence too, whichever side lacks it. *)
+          let lacking ~holder ~lacker =
+            List.iter
+              (fun oid ->
+                if not (Versioned_store.mem (Replica.store lacker) oid) then
+                  note "partition %d: replica %d lacks oid %d held by replica %d \
+                        (last_applied %s vs %s)"
+                    p (Replica.idx lacker) (Oid.to_int oid) (Replica.idx holder)
+                    (pp_tmp (Replica.last_applied lacker))
+                    (pp_tmp (Replica.last_applied holder)))
+              (Versioned_store.registered_oids (Replica.store holder))
+          in
           List.iter
             (fun r ->
+              lacking ~holder:first ~lacker:r;
+              lacking ~holder:r ~lacker:first;
               List.iter
                 (fun oid ->
-                  let a = Versioned_store.get (Replica.store first) oid in
-                  let b = Versioned_store.get (Replica.store r) oid in
-                  if not (Bytes.equal (fst a) (fst b)) then
-                    note
-                      "partition %d: replica %d disagrees with replica %d on oid %d \
-                       (%s vs %s)"
-                      p (Replica.idx r) (Replica.idx first) (Oid.to_int oid)
-                      (pp_state r b) (pp_state first a))
+                  if Versioned_store.mem (Replica.store r) oid then begin
+                    let a = Versioned_store.get (Replica.store first) oid in
+                    let b = Versioned_store.get (Replica.store r) oid in
+                    if not (Bytes.equal (fst a) (fst b)) then
+                      note
+                        "partition %d: replica %d disagrees with replica %d on oid \
+                         %d (%s vs %s)"
+                        p (Replica.idx r) (Replica.idx first) (Oid.to_int oid)
+                        (pp_state r b) (pp_state first a)
+                  end)
                 (Versioned_store.registered_oids (Replica.store first)))
             rest)
     (System.replicas sys);

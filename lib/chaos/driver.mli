@@ -96,5 +96,11 @@ val run :
     every other verdict passed — the refinement suite uses it to
     digest final replica state. *)
 
+val divergence : ('req, 'resp) Heron_core.System.t -> string option
+(** The {!Diverged} check: [Some detail] naming the first object on
+    which two live replicas of a partition disagree — by value, or
+    because one holds it and the other does not — or a partition with
+    no live replica; [None] when every partition agrees. *)
+
 val pp_failure : Format.formatter -> failure -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -74,12 +74,14 @@ type ('req, 'resp) t = {
   resp_size : 'resp -> int;
   execute : ctx -> 'req -> 'resp;
   serial_hint : 'req -> bool;
-      (** parallel execution (Config.workers > 1) only: [true] forces
-          the request to run alone, like a barrier. Required for
-          requests whose object footprint cannot be approximated from
+      (** [true] makes a single-partition request a barrier of the
+          delivery loop: it runs alone instead of entering the
+          pipeline's executor pool. Required for requests whose object
+          footprint cannot be approximated from
           [read_set]/[write_sketch] before execution (e.g. TPCC's
           Delivery, which follows index objects to rows chosen at run
-          time). Ignored when workers = 1. *)
+          time). Without the pipeline every request runs alone
+          anyway. *)
   read_only : 'req -> bool;
       (** [true] promises the request never calls [ctx_write] (an empty
           [write_sketch] is necessary but not sufficient — this is the

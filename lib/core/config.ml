@@ -52,7 +52,6 @@ type t = {
   wait_phase2 : coord_wait;
   wait_phase4 : coord_wait;
   log_capacity : int;
-  workers : int;
   statesync_timeout_ns : int;
   addr_query_ns : int;
   coord_batching : bool;
@@ -127,7 +126,6 @@ let default ~partitions ~replicas =
     wait_phase2 = Majority;
     wait_phase4 = Grace 5_000;
     log_capacity = 100_000;
-    workers = 1;
     statesync_timeout_ns = 5_000_000;
     addr_query_ns = 4_000;
     coord_batching = true;

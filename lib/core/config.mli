@@ -78,8 +78,9 @@ type pipeline = {
       (** master switch for the compartmentalized replica pipeline
           (DESIGN.md §12): client-side batcher, replica sequencer with a
           bounded execution queue, executor-fiber pool and asynchronous
-          coordination writer. Off (the default) preserves the
-          monolithic delivery loop byte-for-byte. *)
+          coordination writer. Off (the default), the delivery loop
+          executes every request itself in delivery order: the paper's
+          serial prototype. *)
   pipe_batching : bool;
       (** accumulate single-partition client requests per destination
           partition and submit them as one multicast entry ([Replica.Batch])
@@ -93,9 +94,12 @@ type pipeline = {
           request arrived, bounding queueing delay at low load *)
   pipe_executors : int;
       (** executor fibers per replica draining the admitted-request
-          queue; like [workers], only non-conflicting single-partition
-          requests overlap — multi-partition requests, serial-hint
-          payloads and migrations are barriers *)
+          queue — the only execution-concurrency knob (the paper's
+          Section III-D.1 future work). Only non-conflicting
+          single-partition requests overlap; multi-partition requests,
+          serial-hint payloads and migrations are barriers. At least 1,
+          like [pipe_queue_cap] and [pipe_batch_size]:
+          {!Replica.start} rejects smaller values. *)
   pipe_queue_cap : int;
       (** bound on the sequencer→executor queue; the sequencer stalls
           admission (backpressure into the multicast inbox) when full *)
@@ -165,13 +169,6 @@ type t = {
   wait_phase2 : coord_wait;
   wait_phase4 : coord_wait;
   log_capacity : int;  (** update-log entries retained per replica *)
-  workers : int;
-      (** execution threads per replica for {e single-partition}
-          requests (paper Section III-D.1, left as future work there):
-          with [workers > 1] a replica executes non-conflicting
-          single-partition requests concurrently; conflicting requests
-          and multi-partition requests serialize (the latter act as
-          barriers). 1 reproduces the paper's prototype. *)
   statesync_timeout_ns : int;
       (** per-candidate timeout in donor selection (Algorithm 3); must
           exceed the worst-case transfer time or backup candidates start

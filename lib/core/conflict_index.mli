@@ -1,6 +1,6 @@
-(** Per-object conflict index for the parallel executor.
+(** Per-object conflict index for the pipeline's executor pool.
 
-    The executor admits a single-partition request only when its object
+    The sequencer admits a single-partition request only when its object
     footprint does not conflict with any in-flight request (common
     write, or a write overlapping a read). Instead of comparing the
     candidate against every in-flight footprint — O(inflight ×
@@ -8,7 +8,7 @@
     live object ([Oid.t] → readers count / writer flag), making
     {!can_admit}, {!admit} and {!retire} all O(own footprint).
 
-    The caller serializes access (the dispatcher and workers are
+    The caller serializes access (the sequencer and executors are
     cooperative fibers on one node); {!admit} must only follow a
     {!can_admit} that returned [true] with no intervening admits, and
     every admit must be paired with exactly one {!retire} of the same

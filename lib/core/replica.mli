@@ -123,8 +123,12 @@ val set_directory : ('req, 'resp) t -> ('req, 'resp) t array array -> unit
     [all.(partition).(replica_index)]; must include [r] itself. *)
 
 val start : ('req, 'resp) t -> unit
-(** Spawn the replica's processes: the execution loop and the
-    state-transfer handler. *)
+(** Spawn the replica's processes: the delivery loop (with the
+    pipeline on, also its executor pool and coordination writer), the
+    state-transfer handler and, with durability on, the checkpoint
+    fiber. Raises [Invalid_argument] when [set_directory] was not
+    called, or when [pipe_executors], [pipe_queue_cap] or
+    [pipe_batch_size] is below 1. *)
 
 val inbox : ('req, 'resp) t -> ('req, 'resp) msg Ramcast.delivery Mailbox.t
 val store : ('req, 'resp) t -> Versioned_store.t

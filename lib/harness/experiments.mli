@@ -42,9 +42,10 @@ val ablation_grace : ?quick:bool -> unit -> Table.t
 
 val ablation_parallel : ?quick:bool -> unit -> Table.t
 (** Extension of Section III-D.1 (the paper's future work): throughput
-    and latency of local TPCC as the number of execution workers per
-    replica grows; non-conflicting single-partition requests execute
-    concurrently. *)
+    and latency of local TPCC as the number of executor fibers per
+    replica grows (the pipeline's executor pool, without batching or a
+    coordination writer); non-conflicting single-partition requests
+    execute concurrently. *)
 
 val ablation_batching : ?quick:bool -> unit -> Table.t
 (** Extension: replication batching in the multicast layer (RamCast
@@ -60,16 +61,11 @@ val ablation_coord_batching : ?quick:bool -> unit -> Table.t
 (** Extension: doorbell-batched coordination writes (Qp.Doorbell via
     [Config.coord_batching]) on an all-multi-partition null workload —
     throughput, p50/p99 latency and total [rdma.verb.count
-    {verb="write_post"}] doorbell charges, with batching on and off at
-    1 and 4 workers. EXPERIMENTS.md records the measured fan-out
-    reduction. *)
+    {verb="write_post"}] doorbell charges, with batching on and off.
+    EXPERIMENTS.md records the measured fan-out reduction. *)
 
 val micro_kv : ?quick:bool -> unit -> Table.t * Table.t
 (** Extension: key-value microbenchmarks in the style of the
     full-replication RDMA systems Heron's related work compares against
     (Mu, DARE) — per-operation latency across value sizes, and YCSB
     mixes across key distributions. *)
-
-val all : ?quick:bool -> unit -> Table.t list
-(** Every experiment, in paper order, plus the ablations and
-    microbenchmarks. *)

@@ -101,6 +101,9 @@ dune exec bench/main.exe -- quick coord --breakdown --trace "$bench_trace" --out
 dune exec bin/probe.exe -- jsonlint "$out/BENCH_coord.json"
 dune exec bin/probe.exe -- jsonlint "$bench_trace"
 dune exec bin/probe.exe -- explain "$bench_trace" --top 1 > /dev/null
+dune exec bin/probe.exe -- benchguard "$out/BENCH_coord.json" \
+  scripts/bench_coord_baseline.json \
+  --keys single_partition_tput_tps --max-regression-pct 10
 
 echo "== bench pipeline smoke =="
 # Pipeline ablation grid: on/off x executors x batch size ->
@@ -136,9 +139,15 @@ dune exec bin/probe.exe -- benchguard "$out/BENCH_longhaul.json" \
 
 echo "== bench reconfig smoke =="
 # Shifting-hotspot bench: static placement vs the live rebalancer ->
-# BENCH_reconfig.json (the rebalanced run must win post-shift).
+# BENCH_reconfig.json (the rebalanced run must win post-shift). The
+# guard holds both post-shift throughputs against the committed
+# quick-mode baseline.
 dune exec bench/main.exe -- quick reconfig --out "$out"
 dune exec bin/probe.exe -- jsonlint "$out/BENCH_reconfig.json"
+dune exec bin/probe.exe -- benchguard "$out/BENCH_reconfig.json" \
+  scripts/bench_reconfig_baseline.json \
+  --keys rebalanced_postshift_tput_tps,static_postshift_tput_tps \
+  --max-regression-pct 10
 
 echo "== bench elastic smoke =="
 # Ramp bench: client load grows 10x mid-run; the elastic deployment

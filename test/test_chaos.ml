@@ -536,6 +536,34 @@ let test_failure_kinds_stable () =
   check_string "crashed" "crashed"
     (Driver.failure_kind (Driver.Crashed { detail = "" }))
 
+let test_divergence_missing_object () =
+  (* A live replica lacking an object its partition peer holds is a
+     divergence, whichever side lacks it — never an exception out of
+     the check (which the sweep would report as a crash). *)
+  let open Heron_core in
+  let stray = Oid.of_int 1000 in
+  let check ~holder ~lacker =
+    let eng = Heron_sim.Engine.create ~seed:1 () in
+    let sys =
+      System.create eng
+        ~cfg:(Config.default ~partitions:2 ~replicas:3)
+        ~app:(Heron_kv.Kv_app.app ~keys:4 ~partitions:2 ~init:0L)
+    in
+    check_bool "fresh deployment agrees" true (Driver.divergence sys = None);
+    Versioned_store.register
+      (Replica.store (System.replica sys ~part:1 ~idx:holder))
+      stray ~klass:Versioned_store.Registered ~cap:8 ~init:(Bytes.make 8 '\000');
+    check_bool "reported as diverged" true
+      (Driver.divergence sys
+      = Some
+          (Printf.sprintf
+             "partition 1: replica %d lacks oid 1000 held by replica %d \
+              (last_applied 0.0 vs 0.0)"
+             lacker holder))
+  in
+  check ~holder:0 ~lacker:1;
+  check ~holder:2 ~lacker:0
+
 (* {1 Shrinker} *)
 
 let test_shrink_passing_unchanged () =
@@ -634,6 +662,7 @@ let suite =
         tc "schedules_run metric" test_driver_metrics;
         tc "unsafe injections skipped" test_driver_skips_unsafe_injections;
         tc "failure kinds are stable" test_failure_kinds_stable;
+        tc "missing object reported as divergence" test_divergence_missing_object;
       ] );
     ( "chaos.durability",
       [

@@ -381,13 +381,31 @@ let differential_prop =
 
 (* {1 Concurrent invariants} *)
 
-let concurrent_invariants ~workers () =
+let concurrent_invariants ?executors () =
   (* Multiple clients; afterwards: per-district order-id accounting and
-     replica convergence must hold despite concurrency. *)
+     replica convergence must hold despite concurrency. With [executors]
+     the pipeline's executor pool runs non-conflicting requests
+     concurrently (no batcher, no coordination writer). *)
   let warehouses = 2 in
   let scale = Scale.tiny ~warehouses in
   let eng = Engine.create ~seed:3 () in
-  let cfg = { (Config.default ~partitions:warehouses ~replicas:3) with Config.workers } in
+  let cfg = Config.default ~partitions:warehouses ~replicas:3 in
+  let cfg =
+    match executors with
+    | None -> cfg
+    | Some pipe_executors ->
+        {
+          cfg with
+          Config.pipeline =
+            {
+              Config.default_pipeline with
+              Config.pipe_enabled = true;
+              pipe_batching = false;
+              pipe_coord_writer = false;
+              pipe_executors;
+            };
+        }
+  in
   let app = Tx.app ~scale ~seed:1 in
   let sys = System.create eng ~cfg ~app in
   System.start sys;
@@ -476,8 +494,8 @@ let suite =
       ] );
     ( "tpcc.concurrent",
       [
-        stc "invariants under concurrency" (concurrent_invariants ~workers:1);
-        stc "invariants with parallel execution" (concurrent_invariants ~workers:4);
+        stc "invariants under concurrency" (concurrent_invariants ?executors:None);
+        stc "invariants with parallel execution" (concurrent_invariants ~executors:4);
       ] );
   ]
 
